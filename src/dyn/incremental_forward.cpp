@@ -1,135 +1,10 @@
 #include "dyn/incremental_forward.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "sim/logging.hpp"
 
 namespace gcod::dyn {
-
-namespace {
-
-/**
- * Run ops [begin, end) of layer @p g as scalar row workers for global
- * row @p r, chaining through per-slot buffers. Slot 0 resolves to
- * input.row(r); every other slot must have been filled by an earlier op
- * or by the caller (the aggregation output). Each worker mirrors the
- * batch kernel's per-element accumulation order (see file header).
- */
-void
-runRowOps(const ForwardRecipe &m, const LayerGraph &g, size_t begin,
-          size_t end, const Matrix &input, NodeId r,
-          std::vector<std::vector<float>> &buf,
-          const std::vector<int64_t> &widths)
-{
-    auto rowOf = [&](int sl) -> const float * {
-        if (sl == 0)
-            return input.row(r);
-        GCOD_ASSERT(!buf[size_t(sl)].empty(),
-                    "row-local chain reads an unfilled slot");
-        return buf[size_t(sl)].data();
-    };
-    for (size_t oi = begin; oi < end; ++oi) {
-        const OpStep &op = g.ops[oi];
-        std::vector<float> &out = buf[size_t(op.out)];
-        out.assign(size_t(widths[size_t(op.out)]), 0.0f);
-        switch (op.kind) {
-        case OpKind::GEMM: {
-            // Ascending-k dot products with matmul's zero-activation
-            // skip keep the bit pattern of the batch kernel.
-            const Matrix &w = *m.weights[size_t(op.weight)];
-            const float *a = rowOf(op.in);
-            const int64_t kdim = w.rows();
-            const int64_t out_cols = w.cols();
-            for (int64_t k = 0; k < kdim; ++k) {
-                float av = a[k];
-                if (av == 0.0f)
-                    continue;
-                const float *wrow = w.row(k);
-                for (int64_t j = 0; j < out_cols; ++j)
-                    out[size_t(j)] += av * wrow[j];
-            }
-            break;
-        }
-        case OpKind::Residual: {
-            GCOD_ASSERT(op.aux == 0, "row recompute expects the residual "
-                                     "stream to be the layer input");
-            const float *in = rowOf(op.in);
-            const float *aux = rowOf(op.aux);
-            const int64_t nvals = widths[size_t(op.in)];
-            // Two passes, matching evalRowLocalOp's `t *= scale; o += t`.
-            for (int64_t j = 0; j < nvals; ++j)
-                out[size_t(j)] = aux[j] * op.scale;
-            for (int64_t j = 0; j < nvals; ++j)
-                out[size_t(j)] = in[j] + out[size_t(j)];
-            break;
-        }
-        case OpKind::ConcatSelf: {
-            const float *aux = rowOf(op.aux);
-            const float *in = rowOf(op.in);
-            const int64_t ac = widths[size_t(op.aux)];
-            const int64_t ic = widths[size_t(op.in)];
-            std::memcpy(out.data(), aux, size_t(ac) * sizeof(float));
-            std::memcpy(out.data() + ac, in, size_t(ic) * sizeof(float));
-            break;
-        }
-        case OpKind::Activation: {
-            const float *in = rowOf(op.in);
-            const int64_t nvals = widths[size_t(op.in)];
-            if (op.act == ActKind::Relu) {
-                for (int64_t j = 0; j < nvals; ++j)
-                    out[size_t(j)] = std::max(in[j], 0.0f);
-            } else {
-                for (int64_t j = 0; j < nvals; ++j) {
-                    float v = in[j];
-                    out[size_t(j)] = v < 0.0f ? std::exp(v) - 1.0f : v;
-                }
-            }
-            break;
-        }
-        case OpKind::Readout:
-            std::memcpy(out.data(), rowOf(op.in),
-                        size_t(widths[size_t(op.in)]) * sizeof(float));
-            break;
-        default:
-            GCOD_FATAL("op ", opKindName(op.kind),
-                       " cannot run in the row-local chain");
-        }
-    }
-}
-
-/** One aggregation-op row: @p src is the aggregation's input matrix. */
-void
-aggregateRowInto(const ForwardRecipe &m, const OpStep &op, const Matrix &src,
-                 NodeId r, float *out)
-{
-    const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
-    switch (op.kind) {
-    case OpKind::SpMM: {
-        // Operator-row entry order, += v * x[c][j] (spmmRowWise).
-        const int64_t cols = src.cols();
-        std::fill(out, out + cols, 0.0f);
-        adj.forEachInRow(r, [&](NodeId c, float v) {
-            const float *xrow = src.row(c);
-            for (int64_t j = 0; j < cols; ++j)
-                out[j] += v * xrow[j];
-        });
-        break;
-    }
-    case OpKind::AttentionScore:
-        attentionRowInto(adj, src, *m.weights[size_t(op.aSrc)],
-                         *m.weights[size_t(op.aDst)], op.heads, op.headDim,
-                         op.concatHeads, r, out);
-        break;
-    case OpKind::MaxAgg:
-        maxAggRowInto(adj, src, r, out);
-        break;
-    default:
-        GCOD_FATAL("op ", opKindName(op.kind), " is not an aggregation");
-    }
-}
-
-} // namespace
 
 IncrementalForward
 IncrementalForward::fromScratch(const ForwardRecipe &m, const Matrix &x)
@@ -137,13 +12,16 @@ IncrementalForward::fromScratch(const ForwardRecipe &m, const Matrix &x)
     IncrementalForward st;
     st.acts_.reserve(m.layers.size());
     st.aggIn_.reserve(m.layers.size());
-    Matrix cur = x;
     for (size_t l = 0; l < m.layers.size(); ++l) {
-        Matrix aggIn;
-        Matrix z = referenceForwardLayer(m, l, cur, &aggIn);
-        st.aggIn_.push_back(std::move(aggIn));
-        st.acts_.push_back(z);
-        cur = std::move(z);
+        const LayerGraph &g = m.layers[l];
+        LayerSlots slots;
+        slots.input = l == 0 ? &x : &st.acts_.back();
+        executeLayer(m, nullptr, l, {RowSet()}, slots);
+        const int agg = g.aggOp();
+        const int aggIn = agg >= 0 ? g.ops[size_t(agg)].in : 0;
+        st.aggIn_.push_back(aggIn != 0 ? std::move(slots.mats[size_t(aggIn)])
+                                       : Matrix());
+        st.acts_.push_back(std::move(slots.mats[size_t(g.ops.back().out)]));
     }
     st.lastDirtyRows_ = size_t(x.rows()) * m.layers.size();
     return st;
@@ -167,59 +45,48 @@ IncrementalForward::applied(const ForwardRecipe &m, const Matrix &x,
     const Matrix *input = &x;
     for (size_t l = 0; l < num_layers; ++l) {
         const LayerGraph &g = m.layers[l];
-        std::vector<int64_t> widths = layerSlotWidths(m, l, input->cols());
+        const std::vector<int64_t> widths =
+            layerSlotWidths(m, l, input->cols());
         const int aggIdx = g.aggOp();
         GCOD_ASSERT(aggIdx >= 0,
                     "incremental recompute needs one aggregation per layer");
-        const OpStep &agg = g.ops[size_t(aggIdx)];
-        std::vector<std::vector<float>> buf(size_t(g.numSlots));
-
-        // Refresh the aggregation-input cache first: its row j is a
-        // row-local function of input row j, and every changed input row
-        // is inside this layer's dirty level, so recomputing exactly the
-        // level's rows (clean recomputes are pure no-ops) leaves every
-        // neighbor row the aggregation below will read up to date.
-        Matrix aggMat;
-        if (agg.in != 0) {
-            const Matrix &prevAgg = aggIn_[l];
-            GCOD_ASSERT(prevAgg.rows() == old_n &&
-                            prevAgg.cols() == widths[size_t(agg.in)],
-                        "aggregation-input cache shape drifted");
-            aggMat = Matrix(n, widths[size_t(agg.in)], 0.0f);
-            std::memcpy(aggMat.row(0), prevAgg.row(0),
-                        size_t(old_n * prevAgg.cols()) * sizeof(float));
-            for (NodeId r : levels[l].nodes) {
-                runRowOps(m, g, 0, size_t(aggIdx), *input, r, buf, widths);
-                std::memcpy(aggMat.row(r),
-                            buf[size_t(agg.in)].data(),
-                            size_t(widths[size_t(agg.in)]) *
-                                sizeof(float));
-            }
-        }
-        const Matrix &aggSrc = agg.in != 0 ? aggMat : *input;
-
-        const Matrix &prev = acts_[l];
+        const int aggIn = g.ops[size_t(aggIdx)].in;
         const int fin = g.ops.back().out;
-        GCOD_ASSERT(prev.cols() == widths[size_t(fin)],
-                    "activation cache shape drifted");
-        Matrix cur(n, prev.cols(), 0.0f);
-        // Clean rows travel verbatim; new rows (>= old_n) are always in
-        // the dirty level, so zero-init is never observed.
-        std::memcpy(cur.row(0), prev.row(0),
-                    size_t(old_n * prev.cols()) * sizeof(float));
-        for (NodeId r : levels[l].nodes) {
-            buf[size_t(agg.out)].assign(
-                size_t(widths[size_t(agg.out)]), 0.0f);
-            aggregateRowInto(m, agg, aggSrc, r,
-                             buf[size_t(agg.out)].data());
-            runRowOps(m, g, size_t(aggIdx) + 1, g.ops.size(), *input, r,
-                      buf, widths);
-            std::memcpy(cur.row(r), buf[size_t(fin)].data(),
-                        size_t(widths[size_t(fin)]) * sizeof(float));
-        }
+
+        // Node-addressed: the aggregation input (other rows read it) and
+        // the layer output, each carrying last epoch's rows — clean rows
+        // travel verbatim, and new rows (>= old_n) are always dirty, so
+        // their zero fill is never read. Every other intermediate is
+        // staged for the dirty rows only.
+        LayerSlots slots;
+        slots.input = input;
+        slots.mats.resize(size_t(g.numSlots));
+        slots.local.assign(size_t(g.numSlots), 1);
+        slots.local[0] = 0;
+        auto carry = [&](int slot, const Matrix &prev) {
+            GCOD_ASSERT(prev.rows() == old_n &&
+                            prev.cols() == widths[size_t(slot)],
+                        "incremental cache shape drifted");
+            Matrix cur(n, prev.cols(), 0.0f);
+            std::memcpy(cur.row(0), prev.row(0),
+                        size_t(old_n * prev.cols()) * sizeof(float));
+            slots.mats[size_t(slot)] = std::move(cur);
+            slots.local[size_t(slot)] = 0;
+        };
+        if (aggIn != 0)
+            carry(aggIn, aggIn_[l]);
+        carry(fin, acts_[l]);
+
+        // The aggregation-input refresh is sound: its row j is a row-local
+        // function of input row j, every changed input row is inside this
+        // level, and the ops before the aggregation run over the whole
+        // level before it reads any neighbor row.
+        executeLayer(m, nullptr, l, {RowSet(levels[l].nodes)}, slots);
         next.lastDirtyRows_ += levels[l].count();
-        next.aggIn_.push_back(std::move(aggMat));
-        next.acts_.push_back(std::move(cur));
+        next.aggIn_.push_back(aggIn != 0
+                                  ? std::move(slots.mats[size_t(aggIn)])
+                                  : Matrix());
+        next.acts_.push_back(std::move(slots.mats[size_t(fin)]));
         input = &next.acts_.back();
     }
     return next;

@@ -5,26 +5,19 @@
  * Holds every layer's activation matrix — plus, for layers whose
  * aggregation input is produced inside the layer (GAT's h = X W), that
  * aggregation-input matrix — for one epoch. On update, clean rows are
- * copied forward verbatim and only the dirty rows of each layer
- * (dirty.hpp level sets) are recomputed, op by op, with scalar row
- * workers that mirror the batch kernels' per-element accumulation order
- * exactly:
+ * copied forward verbatim and each layer's dirty level (dirty.hpp) is
+ * the row set of one executeLayer call (nn/quant_exec.hpp), the same
+ * interpreter and kernels as the full pass. Intermediates other than the
+ * aggregation input and the layer output are staged for the dirty rows
+ * only.
  *
- *  - SpMM:      operator-row entry order, += v * x[c][j]  (spmmRowWise)
- *  - GEMM:      ascending-k dot products skipping zero activations
- *               (matmul's `if (av == 0) continue`)
- *  - attention: the shared attentionRowInto worker (nn/quant_exec)
- *  - Max:       the shared maxAggRowInto worker
- *  - Residual / ConcatSelf / Activation: two-pass / per-element loops
- *               matching evalRowLocalOp
- *
- * Since the batch kernels guarantee thread-count-invariant per-element
- * accumulation (see tensor/ops.cpp), a per-row recompute in the same
- * order is bit-identical to a full referenceForward over the final
- * graph — the invariant the dyn test suite memcmp-checks. Soundness of
- * the aggregation-input cache: its row j changes only when input row j
- * changes, and every such j is inside the layer's dirty level, whose
- * closed-hop expansion also dirties every output row that reads row j.
+ * Because the kernels compute each row with a fixed per-element order
+ * whatever the row set, the result is bit-identical to a full
+ * referenceForward over the final graph — the invariant the dyn test
+ * suite memcmp-checks. Soundness of the aggregation-input cache: its row
+ * j changes only when input row j changes, and every such j is inside
+ * the layer's dirty level, whose closed-hop expansion also dirties every
+ * output row that reads row j.
  */
 #ifndef GCOD_DYN_INCREMENTAL_FORWARD_HPP
 #define GCOD_DYN_INCREMENTAL_FORWARD_HPP

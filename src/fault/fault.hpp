@@ -26,9 +26,10 @@
  *                    multiplied by slowFactor (SLO pressure, not an
  *                    error; correctness must be unaffected).
  *   HaloDrop       — a shard's halo exchange payload for one layer is
- *                    dropped/corrupted; the shard executor discards the
- *                    attempt and re-executes the shard from the global
- *                    activations (bit-identical stitch preserved).
+ *                    dropped/corrupted; the shard executor runs that
+ *                    (layer, shard)'s row-set call a second time, fp32
+ *                    and int8 alike; the repeat overwrites the same
+ *                    owned rows (bit-identical stitch preserved).
  *   StoreCorrupt   — an artifact store read returns corrupt bytes; the
  *                    load path quarantines the file and rebuilds from
  *                    scratch, exactly as it would for a real CRC failure.

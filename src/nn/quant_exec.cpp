@@ -113,17 +113,6 @@ leaky(float x)
     return x > 0.0f ? x : kLeakySlope * x;
 }
 
-/** ELU, replicating gat.cpp's between-layer activation exactly. */
-Matrix
-eluMatrix(const Matrix &x)
-{
-    Matrix y = x;
-    for (auto &v : y.data())
-        if (v < 0.0f)
-            v = std::exp(v) - 1.0f;
-    return y;
-}
-
 /** Per-head additive score a · h_v, ascending-feature accumulation. */
 void
 attentionScoreOf(const Matrix &h, const Matrix &a, int heads, int dim,
@@ -138,15 +127,16 @@ attentionScoreOf(const Matrix &h, const Matrix &a, int heads, int dim,
     }
 }
 
-} // namespace
-
+/**
+ * Row @p r of the GAT attention aggregation into @p out_row. Edge list of
+ * r: adjacency entries in row order, self loop last — exactly
+ * GatLayer::buildEdges.
+ */
 void
 attentionRowInto(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
                  const Matrix &a_dst, int heads, int head_dim,
                  bool concat_heads, NodeId r, float *out_row)
 {
-    // Edge list of r: adjacency entries in row order, self loop last —
-    // exactly GatLayer::buildEdges.
     std::vector<NodeId> cols;
     cols.reserve(size_t(adj.rowNnz(r)) + 1);
     adj.forEachInRow(r, [&](NodeId j, float) { cols.push_back(j); });
@@ -206,6 +196,7 @@ attentionRowInto(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
     }
 }
 
+/** Row @p r of the Max aggregation into @p out_row. */
 void
 maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r,
               float *out_row)
@@ -220,40 +211,39 @@ maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r,
     });
 }
 
-Matrix
-attentionForward(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
-                 const Matrix &a_dst, int heads, int head_dim,
-                 bool concat_heads)
+} // namespace
+
+void
+attentionRows(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
+              const Matrix &a_dst, int heads, int head_dim,
+              bool concat_heads, const RowSet &rows, Matrix &out,
+              RowAddr addr)
 {
-    const NodeId n = adj.rows();
     GCOD_ASSERT(h.cols() == int64_t(heads) * head_dim,
                 "attention input must be heads x headDim wide");
-    Matrix out(n, concat_heads ? int64_t(heads) * head_dim : head_dim);
     parallelFor(
-        0, n,
+        0, rows.size(adj.rows()),
         [&](const Range &r, size_t) {
             for (int64_t i = r.begin; i < r.end; ++i)
                 attentionRowInto(adj, h, a_src, a_dst, heads, head_dim,
-                                 concat_heads, NodeId(i),
-                                 out.row(i));
+                                 concat_heads, rows.node(i),
+                                 out.row(rows.row(i, addr.out)));
         },
         16);
-    return out;
 }
 
-Matrix
-maxAggregate(const CsrMatrix &adj, const Matrix &x)
+void
+maxAggRows(const CsrMatrix &adj, const Matrix &x, const RowSet &rows,
+           Matrix &out, RowAddr addr)
 {
-    const NodeId n = adj.rows();
-    Matrix out(n, x.cols());
     parallelFor(
-        0, n,
+        0, rows.size(adj.rows()),
         [&](const Range &r, size_t) {
             for (int64_t i = r.begin; i < r.end; ++i)
-                maxAggRowInto(adj, x, NodeId(i), out.row(i));
+                maxAggRowInto(adj, x, rows.node(i),
+                              out.row(rows.row(i, addr.out)));
         },
         64);
-    return out;
 }
 
 bool
@@ -530,92 +520,6 @@ layerSlotWidths(const ForwardRecipe &m, size_t layer, int64_t input_cols)
     return w;
 }
 
-Matrix
-evalRowLocalOp(const OpStep &op, const Matrix &in, const Matrix *aux)
-{
-    switch (op.kind) {
-    case OpKind::Residual: {
-        // Two separate elementwise passes, replicating GinConv
-        // (`scaled *= (1+eps); s += scaled`) and the ResGCN block
-        // (`r += h`) exactly — no fused multiply-add creeps in.
-        GCOD_ASSERT(aux != nullptr, "Residual needs its aux slot");
-        Matrix t = *aux;
-        t *= op.scale;
-        Matrix o = in;
-        o += t;
-        return o;
-    }
-    case OpKind::ConcatSelf:
-        GCOD_ASSERT(aux != nullptr, "ConcatSelf needs its aux slot");
-        return hconcat(*aux, in);
-    case OpKind::Activation:
-        return op.act == ActKind::Relu ? relu(in) : eluMatrix(in);
-    case OpKind::Readout:
-        return in;
-    default:
-        GCOD_FATAL("op ", opKindName(op.kind), " is not row-local");
-    }
-}
-
-Matrix
-referenceForwardLayer(const ForwardRecipe &m, size_t layer,
-                      const Matrix &input, Matrix *agg_input)
-{
-    const LayerGraph &g = m.layers[layer];
-    GCOD_ASSERT(!g.ops.empty(), "empty layer graph");
-    std::vector<Matrix> slots(size_t(g.numSlots));
-    auto at = [&](int s) -> const Matrix & {
-        return s == 0 ? input : slots[size_t(s)];
-    };
-    if (agg_input != nullptr)
-        *agg_input = Matrix();
-    for (const OpStep &op : g.ops) {
-        switch (op.kind) {
-        case OpKind::SpMM:
-            if (agg_input != nullptr && op.in != 0)
-                *agg_input = at(op.in);
-            slots[size_t(op.out)] =
-                spmm(*m.operators[size_t(op.opIndex)], at(op.in));
-            break;
-        case OpKind::GEMM:
-            slots[size_t(op.out)] =
-                matmul(at(op.in), *m.weights[size_t(op.weight)]);
-            break;
-        case OpKind::AttentionScore:
-            if (agg_input != nullptr && op.in != 0)
-                *agg_input = at(op.in);
-            slots[size_t(op.out)] = attentionForward(
-                *m.operators[size_t(op.opIndex)], at(op.in),
-                *m.weights[size_t(op.aSrc)], *m.weights[size_t(op.aDst)],
-                op.heads, op.headDim, op.concatHeads);
-            break;
-        case OpKind::MaxAgg:
-            if (agg_input != nullptr && op.in != 0)
-                *agg_input = at(op.in);
-            slots[size_t(op.out)] =
-                maxAggregate(*m.operators[size_t(op.opIndex)], at(op.in));
-            break;
-        default:
-            slots[size_t(op.out)] = evalRowLocalOp(
-                op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr);
-            break;
-        }
-    }
-    return std::move(slots[size_t(g.ops.back().out)]);
-}
-
-Matrix
-referenceForward(const ForwardRecipe &m, const Matrix &x)
-{
-    GCOD_ASSERT(!m.operators.empty() &&
-                    x.rows() == int64_t(m.operators[0]->rows()),
-                "activation rows must match the operator");
-    Matrix cur = x;
-    for (size_t l = 0; l < m.layers.size(); ++l)
-        cur = referenceForwardLayer(m, l, cur);
-    return cur;
-}
-
 std::vector<uint8_t>
 protectedBranchOf(const std::vector<int32_t> &degrees, double protect_ratio)
 {
@@ -690,68 +594,218 @@ quantizeGnn(const ForwardRecipe &m, const std::vector<int32_t> &degrees,
     return q;
 }
 
+namespace {
+
+/** Pool-region label per op kind (OpKind order) and precision. */
+const char *const kOpZones[][2] = {
+    {"SpMM.fp32", "SpMM.quant"},
+    {"GEMM.fp32", "GEMM.quant"},
+    {"AttentionScore.fp32", "AttentionScore.quant"},
+    {"Residual.fp32", "Residual.quant"},
+    {"ConcatSelf.fp32", "ConcatSelf.quant"},
+    {"MaxAgg.fp32", "MaxAgg.quant"},
+    {"Activation.fp32", "Activation.quant"},
+    {"Readout.fp32", "Readout.quant"},
+};
+
+/**
+ * Run @p fn over every part of @p parts, through hooks->part when given.
+ * One part runs on the calling thread (its kernels dispatch over the
+ * pool); several run one per pool range, each labelled @p zone on its
+ * worker, with their kernels inline there — one chip per shard.
+ */
+void
+eachPart(size_t layer, const OpStep &op, const std::vector<RowSet> &parts,
+         const PartHooks *hooks, const char *zone,
+         const std::function<void(const RowSet &)> &fn)
+{
+    auto runPart = [&](size_t p) {
+        std::function<void()> run = [&] { fn(parts[p]); };
+        if (hooks != nullptr && hooks->part)
+            hooks->part(layer, op, p, run);
+        else
+            run();
+    };
+    if (parts.size() == 1) {
+        runPart(0);
+        return;
+    }
+    parallelFor(
+        0, int64_t(parts.size()),
+        [&](const Range &r, size_t) {
+            ParallelZone worker(zone);
+            for (int64_t p = r.begin; p < r.end; ++p)
+                runPart(size_t(p));
+        },
+        1);
+}
+
+} // namespace
+
+void
+executeLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
+             const std::vector<RowSet> &parts, LayerSlots &slots,
+             const PartHooks *hooks)
+{
+    const LayerGraph &g = m.layers[layer];
+    GCOD_ASSERT(!g.ops.empty() && !parts.empty() && slots.input != nullptr,
+                "executeLayer needs ops, rows and an input");
+    const int64_t n = slots.input->rows();
+    GCOD_ASSERT(!m.operators.empty() && int64_t(m.operators[0]->rows()) == n,
+                "activation rows must match the operator");
+    const std::vector<int64_t> widths =
+        layerSlotWidths(m, layer, slots.input->cols());
+    slots.mats.resize(size_t(g.numSlots));
+    slots.local.resize(size_t(g.numSlots), 0);
+    const bool anyLocal = std::any_of(slots.local.begin(), slots.local.end(),
+                                      [](char c) { return c != 0; });
+    GCOD_ASSERT(!anyLocal || (q == nullptr && parts.size() == 1 &&
+                              !parts[0].all() && !slots.local[0]),
+                "position-addressed slots need one fp32 row list");
+    const int64_t listRows = parts[0].size(n);
+
+    for (const OpStep &op : g.ops) {
+        Matrix &out = slots.mats[size_t(op.out)];
+        if (out.rows() == 0)
+            out = Matrix(slots.local[size_t(op.out)] ? listRows : n,
+                         widths[size_t(op.out)]);
+        const Matrix &in = slots.at(op.in);
+        const Matrix *aux = op.aux >= 0 ? &slots.at(op.aux) : nullptr;
+        RowAddr addr;
+        addr.in = slots.local[size_t(op.in)] != 0;
+        addr.aux = op.aux >= 0 && slots.local[size_t(op.aux)] != 0;
+        addr.out = slots.local[size_t(op.out)] != 0;
+        const char *zone = kOpZones[size_t(op.kind)][q != nullptr ? 1 : 0];
+        ParallelZone opZone(zone);
+        auto each = [&](const std::function<void(const RowSet &)> &fn) {
+            eachPart(layer, op, parts, hooks, zone, fn);
+        };
+        auto pack = [&](const std::function<void()> &run) {
+            if (hooks != nullptr && hooks->pack)
+                hooks->pack(layer, op, run);
+            else
+                run();
+        };
+
+        switch (op.kind) {
+        case OpKind::SpMM: {
+            const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+            if (q == nullptr) {
+                each([&](const RowSet &r) {
+                    spmmRows(adj, in, r, out, addr);
+                });
+                break;
+            }
+            // Per-branch scales of the whole input slot: every part codes
+            // its neighbor rows exactly as the all-rows pass would.
+            const QuantizedCsr &qa = q->qops[size_t(op.opIndex)];
+            GCOD_ASSERT(qa.pattern != nullptr,
+                        "SpMM operator missing from the quantization pack");
+            MixedQuantizedMatrix mx;
+            pack([&] {
+                mx = mixedQuantize(in, q->branchOf, q->localIndex,
+                                   q->policy.denseBits, q->policy.sparseBits);
+            });
+            each([&](const RowSet &r) { qspmmMixedRows(qa, mx, r, out); });
+            break;
+        }
+        case OpKind::GEMM: {
+            if (q == nullptr) {
+                const Matrix &w = *m.weights[size_t(op.weight)];
+                each([&](const RowSet &r) {
+                    matmulRows(in, w, r, out, addr);
+                });
+                break;
+            }
+            // Per-row activation scales: aggregation (Add in particular)
+            // spreads per-row magnitudes across orders of magnitude, and
+            // one per-branch scale starves the small rows of codes. A
+            // row's own scale factors out of its dot products exactly, so
+            // this stays bit-identical across threads, shards and row
+            // sets. SpMM keeps per-branch scales — it mixes rows in one
+            // accumulator.
+            RowQuantizedMatrix rz = rowQuantize(
+                in, q->branchOf, q->policy.denseBits, q->policy.sparseBits);
+            const QuantizedMatrix &lo = q->wLo[size_t(op.weight)];
+            const QuantizedMatrix &hi = q->wHi[size_t(op.weight)];
+            each([&](const RowSet &r) {
+                qmatmulRowScaledRows(rz, lo, hi, r, out);
+            });
+            break;
+        }
+        case OpKind::AttentionScore: {
+            // fp32 over the (quantized) projection; a pack supplies its
+            // attention vectors dequantized from the sparse-branch width —
+            // this is where low bits fall off the accuracy cliff.
+            const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+            const Matrix &as = q != nullptr ? q->wDeq[size_t(op.aSrc)]
+                                            : *m.weights[size_t(op.aSrc)];
+            const Matrix &ad = q != nullptr ? q->wDeq[size_t(op.aDst)]
+                                            : *m.weights[size_t(op.aDst)];
+            each([&](const RowSet &r) {
+                attentionRows(adj, in, as, ad, op.heads, op.headDim,
+                              op.concatHeads, r, out, addr);
+            });
+            break;
+        }
+        case OpKind::MaxAgg: {
+            const CsrMatrix &adj = *m.operators[size_t(op.opIndex)];
+            each([&](const RowSet &r) { maxAggRows(adj, in, r, out, addr); });
+            break;
+        }
+        case OpKind::Residual:
+            // Scale, then add: replicates GinConv (`scaled *= (1+eps);
+            // s += scaled`) and the ResGCN block (`r += h`) exactly.
+            GCOD_ASSERT(aux != nullptr, "Residual needs its aux slot");
+            each([&](const RowSet &r) {
+                addScaledRows(in, *aux, op.scale, r, out, addr);
+            });
+            break;
+        case OpKind::ConcatSelf:
+            GCOD_ASSERT(aux != nullptr, "ConcatSelf needs its aux slot");
+            each([&](const RowSet &r) {
+                hconcatRows(*aux, in, r, out, addr);
+            });
+            break;
+        case OpKind::Activation:
+            each([&](const RowSet &r) {
+                if (op.act == ActKind::Relu)
+                    reluRows(in, r, out, addr);
+                else
+                    eluRows(in, r, out, addr);
+            });
+            break;
+        case OpKind::Readout:
+            each([&](const RowSet &r) { copyRows(in, r, out, addr); });
+            break;
+        }
+    }
+}
+
+Matrix
+executeForward(const ForwardRecipe &m, const QuantizedGnn *q, const Matrix &x,
+               const std::vector<RowSet> &parts, const PartHooks *hooks)
+{
+    Matrix cur;
+    for (size_t l = 0; l < m.layers.size(); ++l) {
+        LayerSlots slots;
+        slots.input = l == 0 ? &x : &cur;
+        executeLayer(m, q, l, parts, slots, hooks);
+        cur = std::move(slots.mats[size_t(m.layers[l].ops.back().out)]);
+    }
+    return cur;
+}
+
+Matrix
+referenceForward(const ForwardRecipe &m, const Matrix &x)
+{
+    return executeForward(m, nullptr, x, {RowSet()});
+}
+
 Matrix
 quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x)
 {
-    const ForwardRecipe &m = q.recipe;
-    GCOD_ASSERT(!m.operators.empty() &&
-                    x.rows() == int64_t(m.operators[0]->rows()),
-                "activation rows must match the operator");
-    Matrix cur = x;
-    for (size_t l = 0; l < m.layers.size(); ++l) {
-        const LayerGraph &g = m.layers[l];
-        std::vector<Matrix> slots(size_t(g.numSlots));
-        auto at = [&](int s) -> const Matrix & {
-            return s == 0 ? cur : slots[size_t(s)];
-        };
-        for (const OpStep &op : g.ops) {
-            switch (op.kind) {
-            case OpKind::SpMM: {
-                MixedQuantizedMatrix mq =
-                    mixedQuantize(at(op.in), q.branchOf, q.localIndex,
-                                  q.policy.denseBits, q.policy.sparseBits);
-                slots[size_t(op.out)] =
-                    qspmmMixed(q.qops[size_t(op.opIndex)], mq);
-                break;
-            }
-            case OpKind::GEMM: {
-                // Per-row activation scales: aggregation (Add in
-                // particular) spreads per-row magnitudes across orders
-                // of magnitude, and one per-branch scale starves the
-                // small rows of codes. A row's own scale factors out of
-                // its dot products exactly, so this stays bit-identical
-                // across threads/shards. SpMM keeps per-branch scales —
-                // it mixes rows in one accumulator.
-                RowQuantizedMatrix rz =
-                    rowQuantize(at(op.in), q.branchOf, q.policy.denseBits,
-                                q.policy.sparseBits);
-                slots[size_t(op.out)] =
-                    qmatmulRowScaled(rz, q.wLo[size_t(op.weight)],
-                                     q.wHi[size_t(op.weight)]);
-                break;
-            }
-            case OpKind::AttentionScore:
-                // fp32 over the quantized projection, with the attention
-                // vectors dequantized from their sparse-branch pack —
-                // this is where low bits fall off the accuracy cliff.
-                slots[size_t(op.out)] = attentionForward(
-                    *m.operators[size_t(op.opIndex)], at(op.in),
-                    q.wDeq[size_t(op.aSrc)], q.wDeq[size_t(op.aDst)],
-                    op.heads, op.headDim, op.concatHeads);
-                break;
-            case OpKind::MaxAgg:
-                slots[size_t(op.out)] = maxAggregate(
-                    *m.operators[size_t(op.opIndex)], at(op.in));
-                break;
-            default:
-                slots[size_t(op.out)] = evalRowLocalOp(
-                    op, at(op.in), op.aux >= 0 ? &at(op.aux) : nullptr);
-                break;
-            }
-        }
-        cur = std::move(slots[size_t(g.ops.back().out)]);
-    }
-    return cur;
+    return executeForward(q.recipe, &q, x, {RowSet()});
 }
 
 } // namespace gcod

@@ -1,44 +1,46 @@
 /**
  * @file
- * Op-graph GNN execution: one typed per-layer op graph, many interpreters.
+ * Op-graph GNN execution: one typed per-layer op graph, one interpreter.
  *
  * forwardRecipeFor() lowers each model family into a ForwardRecipe — per
  * layer, a short sequence of typed ops (SpMM, GEMM, AttentionScore,
  * Residual, ConcatSelf, MaxAgg, Activation, Readout) over explicit
- * tensor slots. Every fast path is then an *interpreter* of that graph
- * instead of a bespoke plain-Mean loop:
+ * tensor slots. executeLayer() is the only interpreter of that graph: it
+ * runs a layer op by op over a choice of *rows*, at a choice of
+ * precision (fp32 or a QuantizedGnn pack). Every execution path is a
+ * short loop that picks the rows:
  *
- *  - referenceForward(): stateless fp32 pass, memcmp-identical to the
- *    family's GnnModel::forward;
- *  - quantizeGnn() / quantizedForwardMixed(): the GCoD mixed-precision
- *    integer path (low-bit dense branch, degree-protected tail);
- *  - shard/executor.hpp: per-shard slices of every op, stitched
- *    bit-identically at any shard count;
- *  - dyn/incremental_forward.hpp: per-op dirty-row recompute.
+ *  - referenceForward() / quantizedForwardMixed(): all rows, fp32 (memcmp-
+ *    identical to the family's GnnModel::forward) or the GCoD
+ *    mixed-precision integer path (low-bit dense branch, degree-protected
+ *    tail);
+ *  - shard/executor.hpp: each shard's owned rows as one part;
+ *  - dyn/incremental_forward.hpp: each layer's dirty rows.
  *
  * Supported families: GCN (plain Mean), GraphSAGE (Mean + self concat,
  * full or neighbor-sampled operators), GIN (Add + eps-residual + 2-layer
  * MLP), GAT (multi-head additive attention), ResGCN (Max aggregation +
  * residual blocks).
  *
- * Precision placement in the quantized interpreter follows GCoD's
- * polarized split: SpMM and GEMM ops run on packed integer operands
- * (dense low-bit branch, protected high-degree tail at higher bits);
- * attention scoring, Max aggregation, residual adds and activations run
- * in fp32 over the (already quantization-rounded) intermediate slots,
- * with attention vectors dequantized from their higher-width pack — the
- * attention accuracy cliff at low bits comes from the quantized
- * projection h = X W and the quantized attention vectors.
+ * Precision placement with a pack follows GCoD's polarized split: SpMM
+ * and GEMM ops run on packed integer operands (dense low-bit branch,
+ * protected high-degree tail at higher bits); attention scoring, Max
+ * aggregation, residual adds and activations run in fp32 over the
+ * (already quantization-rounded) intermediate slots, with attention
+ * vectors dequantized from their higher-width pack — the attention
+ * accuracy cliff at low bits comes from the quantized projection
+ * h = X W and the quantized attention vectors.
  *
- * Determinism: every interpreter computes each output row as a pure
- * function of its input rows, with a fixed per-element accumulation
- * order, so logits are bit-identical for any thread count; the sharded
- * and incremental interpreters reuse the same per-row math (and global
- * quantization scales) to extend that to any shard count and any delta
- * batching.
+ * Determinism: each op calls one row-subset kernel entry point
+ * (tensor/ops.hpp RowSet), which computes every output row as a pure
+ * function of its input rows with a fixed per-element order. The order
+ * lives in that kernel only, so logits are bit-identical for any thread
+ * count, shard count and delta batching by construction.
  */
 #ifndef GCOD_NN_QUANT_EXEC_HPP
 #define GCOD_NN_QUANT_EXEC_HPP
+
+#include <functional>
 
 #include "nn/graph_context.hpp"
 #include "nn/models.hpp"
@@ -176,19 +178,8 @@ ForwardRecipe forwardRecipeFor(GnnModel &model, const GraphContext &ctx);
 Matrix referenceForward(const ForwardRecipe &m, const Matrix &x);
 
 /**
- * Interpret one layer of @p m in fp32 over the full node set.
- * @p agg_input, when non-null, receives the aggregation op's input slot
- * if that slot is produced inside the layer (GAT's h = X W); it is left
- * empty when the aggregation reads the layer input directly. Used by the
- * incremental path to cache per-layer aggregation inputs.
- */
-Matrix referenceForwardLayer(const ForwardRecipe &m, size_t layer,
-                             const Matrix &input,
-                             Matrix *agg_input = nullptr);
-
-/**
  * Column width of every slot of @p layer, given the layer input width
- * (slot 0). Interpreters allocate staging matrices from this — LayerSpec
+ * (slot 0). The interpreter allocates staging matrices from this — LayerSpec
  * outDim is the per-head width for multi-head GAT layers, so it must not
  * be used for allocation.
  */
@@ -196,44 +187,19 @@ std::vector<int64_t> layerSlotWidths(const ForwardRecipe &m, size_t layer,
                                      int64_t input_cols);
 
 /**
- * fp32 evaluation of one row-local op (Residual / ConcatSelf /
- * Activation / Readout) over whole matrices. Shared by every interpreter
- * so their float sequences match; row-pure, so it may be applied to any
- * row subset (e.g. a shard's owned rows) with identical bits.
- */
-Matrix evalRowLocalOp(const OpStep &op, const Matrix &in, const Matrix *aux);
-
-// ---------------------------------------------------------------------
-// Shared per-row op workers. Every interpreter (reference, sharded,
-// incremental) funnels through these, which replicate the exact
-// per-element order of the corresponding GnnModel kernels — the basis of
-// the memcmp parity and bit-identical-stitch invariants.
-// ---------------------------------------------------------------------
-
-/**
- * Row @p r of the GAT attention aggregation: additive scores over
+ * Rows of the GAT attention aggregation: per row r, additive scores over
  * @p adj's row entries plus a trailing self loop, LeakyReLU(0.2),
- * numerically-stable softmax, then per-edge aggregation of @p h.
- * Row/column indices of @p adj index rows of @p h; @p out_row must hold
- * concat ? heads*head_dim : head_dim floats.
+ * numerically-stable softmax, then per-edge aggregation of the
+ * node-addressed @p h into out (concat ? heads*head_dim : head_dim wide).
  */
-void attentionRowInto(const CsrMatrix &adj, const Matrix &h,
-                      const Matrix &a_src, const Matrix &a_dst, int heads,
-                      int head_dim, bool concat_heads, NodeId r,
-                      float *out_row);
+void attentionRows(const CsrMatrix &adj, const Matrix &h, const Matrix &a_src,
+                   const Matrix &a_dst, int heads, int head_dim,
+                   bool concat_heads, const RowSet &rows, Matrix &out,
+                   RowAddr addr = {});
 
-/** Row @p r of the Max aggregation: elementwise max over {r} ∪ N(r). */
-void maxAggRowInto(const CsrMatrix &adj, const Matrix &x, NodeId r,
-                   float *out_row);
-
-/**
- * Whole-matrix wrappers over the per-row workers (row-parallel; each
- * output row is pure, so results are thread-count invariant).
- */
-Matrix attentionForward(const CsrMatrix &adj, const Matrix &h,
-                        const Matrix &a_src, const Matrix &a_dst, int heads,
-                        int head_dim, bool concat_heads);
-Matrix maxAggregate(const CsrMatrix &adj, const Matrix &x);
+/** Rows of the Max aggregation: elementwise max over {r} ∪ N(r) of x. */
+void maxAggRows(const CsrMatrix &adj, const Matrix &x, const RowSet &rows,
+                Matrix &out, RowAddr addr = {});
 
 /**
  * Branch assignment per node under @p protect_ratio: 1 for the protected
@@ -296,6 +262,75 @@ QuantizedGnn quantizeGnn(const ForwardRecipe &m,
  * intermediate slots. Returns fp32 logits for every node.
  */
 Matrix quantizedForwardMixed(const QuantizedGnn &q, const Matrix &x);
+
+// ---------------------------------------------------------------------
+// The interpreter. Every forward above and in shard/ and dyn/ is a loop
+// that picks rows and calls executeLayer.
+// ---------------------------------------------------------------------
+
+/**
+ * The tensor slots of one layer execution. Slot 0 is the layer input;
+ * slot s > 0 lives in mats[s]. A slot is node-addressed (row r holds
+ * node r) unless local[s] is set, in which case it holds one row per
+ * position of a single explicit row list (row i holds node ids[i]).
+ * executeLayer sizes mats/local to the layer and allocates every slot
+ * still empty, zero-filled; a caller may pre-fill node-addressed slots
+ * whose rows outside the set must survive (e.g. last epoch's clean rows).
+ */
+struct LayerSlots
+{
+    /** Slot 0: the layer input, node-addressed. */
+    const Matrix *input = nullptr;
+    std::vector<Matrix> mats;
+    std::vector<char> local;
+
+    const Matrix &at(int s) const { return s == 0 ? *input : mats[size_t(s)]; }
+};
+
+/**
+ * Optional wrappers around the interpreter's work, for callers that
+ * attach per-part accounting (the sharded executor's spans and halo-drop
+ * re-execution). Each must call run() at least once; running it again
+ * is idempotent.
+ */
+struct PartHooks
+{
+    /** Wraps the whole-slot packing of a quantized SpMM's input. */
+    std::function<void(size_t layer, const OpStep &op,
+                       const std::function<void()> &run)>
+        pack;
+    /** Wraps part @p part's row-set call of @p op. */
+    std::function<void(size_t layer, const OpStep &op, size_t part,
+                       const std::function<void()> &run)>
+        part;
+};
+
+/**
+ * Interpret layer @p layer of @p m over the rows in @p parts, op by op,
+ * into @p slots. @p q selects the precision: nullptr runs fp32 with the
+ * recipe's weights; a pack runs SpMM/GEMM on its integer kernels, with
+ * every quantization scale taken from the whole (node-addressed) input
+ * slot, and the other ops in fp32 (attention vectors dequantized).
+ *
+ * @p parts are disjoint row sets. A single RowSet() is every row: each
+ * kernel keeps its whole-matrix parallel partitioning. A single list
+ * (e.g. a dirty level) is dispatched over the pool by position. Several
+ * lists (a shard plan's owned rows) run one part per pool range, their
+ * kernels inline on that worker. Position-addressed slots need a single
+ * fp32 list. Each op's pool regions carry an "<op>.<precision>" zone
+ * label; kernels with their own label keep it innermost.
+ */
+void executeLayer(const ForwardRecipe &m, const QuantizedGnn *q, size_t layer,
+                  const std::vector<RowSet> &parts, LayerSlots &slots,
+                  const PartHooks *hooks = nullptr);
+
+/**
+ * All layers of @p m over @p parts (which must cover every row: each
+ * layer reads its whole input); returns the last layer's output.
+ */
+Matrix executeForward(const ForwardRecipe &m, const QuantizedGnn *q,
+                      const Matrix &x, const std::vector<RowSet> &parts,
+                      const PartHooks *hooks = nullptr);
 
 } // namespace gcod
 

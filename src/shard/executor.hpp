@@ -3,32 +3,21 @@
  * Sharded forward execution: the host-side numerics of the multi-chip
  * runtime, bit-identical to single-chip execution.
  *
- * The executor interprets the model's op-graph ForwardRecipe
- * (nn/quant_exec.hpp) one layer at a time, as a sequence of *passes*.
- * A pass opens at each aggregation op (SpMM / AttentionScore / MaxAgg —
- * the ops that read neighbor rows and therefore need the halo exchange)
- * and carries the row-local ops that follow it (GEMM, Residual,
- * ConcatSelf, Activation). Shard s runs a pass by gathering its local
- * node space (owned + halo rows of the global staging matrix — exactly
- * what the exchange modeled in halo.hpp delivers), aggregating with its
- * local operator slice, chaining the row-local tail over its owned rows,
- * and scattering every produced slot back into the global staging.
- * Because
+ * A sharded pass is the recipe interpreter (nn/quant_exec executeLayer)
+ * run with the shards' owned row lists as its row parts: every op stages
+ * one global, node-addressed slot, and each shard computes its owned rows
+ * of it — one shard per pool range, its kernels inline on that worker,
+ * like one chip per shard. The slots an aggregation reads are whole by
+ * then, so a shard reads its halo rows straight from them (the exchange
+ * halo.hpp prices). Each output row is a pure function of the global
+ * slots with a fixed per-element order, and quantized scales come from
+ * the whole slot, so the stitch is bit-identical to the monolithic pass
+ * for any shard count, chip mix and thread count, in fp32 and int8.
  *
- *  - the local operator slice preserves per-row entry order and values
- *    (plan.hpp) — for the renormalized/row-mean/binary CSR alike, which
- *    covers attention edge lists and Max neighborhoods too, and
- *  - every per-row worker keeps per-element accumulation order
- *    (sim/parallel determinism contract; nn/quant_exec row workers),
- *
- * each owned output row accumulates in exactly the order the monolithic
- * forward would use, so the stitched result is bit-identical for any
- * shard count, any chip mix, and any thread count.
- *
- * Supported families: everything forwardRecipeFor lowers — GCN,
- * GraphSAGE (full-mean or sampled operators), GIN (residual streams are
- * sliced per shard), GAT (attention scores computed per shard over the
- * sharded projection), ResGCN.
+ * Per-shard accounting rides on the interpreter's hooks: level-2 trace
+ * spans "shard.compute" (aggregations), "shard.transform" (GEMMs) and
+ * "halo.exchange" (int8 packing of an SpMM input, the wire payload), and
+ * halo-drop re-execution.
  */
 #ifndef GCOD_SHARD_EXECUTOR_HPP
 #define GCOD_SHARD_EXECUTOR_HPP
@@ -43,14 +32,13 @@
 namespace gcod::shard {
 
 /**
- * Fault-recovery accounting of one sharded forward pass. Under an
- * injected halo drop (fault::FaultKind::HaloDrop), the affected shard's
- * attempt is discarded and the shard re-executes against the global
- * activation matrix — the re-fetched halo — on a healthy pool worker.
- * Because every output row is a pure function of the global activations
- * and re-execution overwrites (never accumulates into) the shard's owned
- * rows, the recovered stitch is bit-identical to the fault-free pass;
- * recovery costs work, never correctness.
+ * Fault-recovery accounting of one sharded forward pass. For each
+ * injected halo drop (fault::FaultKind::HaloDrop) the affected shard's
+ * row-set call of that aggregation runs a second time, in fp32 and int8
+ * alike. The call overwrites (never accumulates into) the shard's owned
+ * rows, which are pure functions of the global slots, so the recovered
+ * stitch is bit-identical to the fault-free pass; recovery costs work,
+ * never correctness.
  */
 struct ShardExecStats
 {
@@ -77,19 +65,15 @@ ShardedModel shardedModelFor(GnnModel &model, const GraphContext &ctx);
 
 /**
  * Run one sharded fp32 forward pass; returns logits for every global
- * node. Per-shard slices of every recipe operator are extracted up
- * front (extractShardOperators per operator). Shards execute
- * concurrently on the shared kernel pool (each shard's kernels then run
- * inline on that worker, mirroring one chip per shard).
+ * node, bit-identical to referenceForward.
  *
  * @p faults (optional) injects halo-exchange drops: shard s at layer l
- * consults the plan at deterministic index l * numShards + s, so the
- * injected set is identical at any thread count. Dropped shards
- * re-execute (see ShardExecStats); @p fault_stats, when non-null,
- * reports the recovery counts.
+ * consults the plan ("halo.fp32", "halo.quant" for the quantized pass)
+ * at index l * numShards + s once per aggregation op, so the injected
+ * set is identical at any thread count. Dropped shards re-execute (see
+ * ShardExecStats); @p fault_stats, when non-null, reports the counts.
  *
- * @p trace (optional) records per-shard "shard.compute" and halo
- * ("halo.gather" fp32 / "halo.exchange" quantized) spans at
+ * @p trace (optional) records the per-shard spans (file comment) at
  * obs::kTraceKernels, parented under trace->parent. Tracing reads
  * timestamps and copies labels only — the stitched logits stay
  * byte-identical with tracing on or off.
@@ -100,18 +84,12 @@ Matrix shardedForward(const ShardPlan &plan, const ShardedModel &m,
                       const obs::TraceCtx *trace = nullptr);
 
 /**
- * Sharded mixed-precision integer forward (nn/quant_exec numerics): each
- * shard computes its owned output rows of every SpMM/GEMM op with the
- * per-row integer kernels, while every quantization scale is derived
- * from the GLOBAL activation matrix — exactly what the monolithic
- * quantizedForwardMixed uses. Attention scoring and Max aggregation run
- * per shard in fp32 over the staged global slots (the same precision
- * placement as the monolithic pass); the remaining row-local ops are
- * row-pure fp32. With integer accumulation exact per row, the stitched
- * logits are bit-identical to the monolithic pass for any shard count,
- * chip mix, and thread count. Halo activations cross shards at the
- * pack's wire precision (the packed branch codes), which is what the
- * exchange cost model prices via HaloExchangeOptions::bytesPerScalar.
+ * Sharded mixed-precision integer forward, bit-identical to
+ * quantizedForwardMixed: the same interpreter with pack @p q, every
+ * quantization scale derived from the GLOBAL slot. Halo activations
+ * cross shards at the pack's wire precision (the packed branch codes),
+ * which is what the exchange cost model prices via
+ * HaloExchangeOptions::bytesPerScalar. Faults and tracing as above.
  */
 Matrix quantizedShardedForward(const ShardPlan &plan, const QuantizedGnn &q,
                                const Matrix &x,

@@ -152,10 +152,6 @@ ShardPlan derivePlan(const Graph &g, int num_shards, int num_classes,
 CsrMatrix extractLocalOperator(const CsrMatrix &op, const Shard &shard,
                                NodeId num_nodes);
 
-/** extractLocalOperator for every shard of a plan (pool-parallel). */
-std::vector<CsrMatrix> extractShardOperators(const ShardPlan &plan,
-                                             const CsrMatrix &op);
-
 /**
  * The shard's cost-model graph: a symmetric adjacency over the local
  * node space containing every owned-row entry plus its mirror. Owned

@@ -27,26 +27,55 @@ rowGrain(int64_t flopsPerRow)
                                                        1, flopsPerRow));
 }
 
+/**
+ * Run fn(i) for every position i of @p rows, partitioned so each pool
+ * range carries at least kMinParallelWork of @p cost_per_row work.
+ */
+template <typename Fn>
+void
+forPositions(const RowSet &rows, int64_t n, int64_t cost_per_row,
+             const Fn &fn)
+{
+    parallelFor(
+        0, rows.size(n),
+        [&](const Range &r, size_t) {
+            for (int64_t i = r.begin; i < r.end; ++i)
+                fn(i);
+        },
+        rowGrain(cost_per_row));
+}
+
+/** Zero output row @p row when @p rows is an explicit list. */
+void
+clearListRow(const RowSet &rows, float *row, int64_t cols)
+{
+    if (!rows.all())
+        std::fill(row, row + cols, 0.0f);
+}
+
 } // namespace
 
-Matrix
-matmul(const Matrix &a, const Matrix &b)
+void
+matmulRows(const Matrix &a, const Matrix &b, const RowSet &rows, Matrix &c,
+           RowAddr addr)
 {
-    GCOD_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
+    GCOD_ASSERT(a.cols() == b.rows() && c.cols() == b.cols(),
+                "matmul shape mismatch");
     ParallelZone zone("matmul");
-    Matrix c(a.rows(), b.cols(), 0.0f);
     // Parallel over disjoint row blocks of C; within a block, i-k-j order
     // tiled over j so one K x kColTile stripe of B is reused across the
     // whole block. Accumulation into each c(i, j) stays in ascending-k
     // order, so the result is bit-identical for any thread count.
     parallelFor(
-        0, a.rows(),
+        0, rows.size(a.rows()),
         [&](const Range &r, size_t) {
+            for (int64_t i = r.begin; i < r.end; ++i)
+                clearListRow(rows, c.row(rows.row(i, addr.out)), c.cols());
             for (int64_t jb = 0; jb < b.cols(); jb += kColTile) {
                 int64_t jend = std::min(jb + kColTile, b.cols());
                 for (int64_t i = r.begin; i < r.end; ++i) {
-                    const float *arow = a.row(i);
-                    float *crow = c.row(i);
+                    const float *arow = a.row(rows.row(i, addr.in));
+                    float *crow = c.row(rows.row(i, addr.out));
                     for (int64_t k = 0; k < a.cols(); ++k) {
                         float av = arow[k];
                         if (av == 0.0f)
@@ -59,6 +88,13 @@ matmul(const Matrix &a, const Matrix &b)
             }
         },
         rowGrain(a.cols() * b.cols()));
+}
+
+Matrix
+matmul(const Matrix &a, const Matrix &b)
+{
+    Matrix c(a.rows(), b.cols(), 0.0f);
+    matmulRows(a, b, RowSet(), c);
     return c;
 }
 
@@ -123,31 +159,44 @@ matmulTransposedB(const Matrix &a, const Matrix &b)
     return c;
 }
 
+void
+spmmRows(const CsrMatrix &a, const Matrix &x, const RowSet &rows, Matrix &y,
+         RowAddr addr)
+{
+    GCOD_ASSERT(int64_t(a.cols()) == x.rows() && y.cols() == x.cols(),
+                "spmm shape mismatch");
+    ParallelZone zone("spmmRowWise");
+    RangeFn body = [&](const Range &r, size_t) {
+        for (int64_t i = r.begin; i < r.end; ++i) {
+            float *yrow = y.row(rows.row(i, addr.out));
+            clearListRow(rows, yrow, x.cols());
+            a.forEachInRow(rows.node(i), [&](NodeId c, float v) {
+                const float *xrow = x.row(c);
+                for (int64_t j = 0; j < x.cols(); ++j)
+                    yrow[j] += v * xrow[j];
+            });
+        }
+    };
+    // All rows are cut by cumulative nnz (the indptr array), not row
+    // count: on power-law graphs equal row counts give wildly unequal
+    // work while equal nnz shares stay balanced — the same imbalance the
+    // paper's accelerators rebalance in hardware. Explicit lists split
+    // by position at the mean row cost. Each output row is written by
+    // exactly one range, so results are thread-count invariant.
+    if (rows.all()) {
+        parallelForWeighted(a.indptr(), body, rowGrain(x.cols()));
+        return;
+    }
+    int64_t meanNnz = a.rows() > 0 ? int64_t(a.nnz()) / a.rows() : 0;
+    parallelFor(0, rows.size(0), body,
+                rowGrain(x.cols() * std::max<int64_t>(1, meanNnz)));
+}
+
 Matrix
 spmmRowWise(const CsrMatrix &a, const Matrix &x)
 {
-    GCOD_ASSERT(int64_t(a.cols()) == x.rows(), "spmm shape mismatch");
-    ParallelZone zone("spmmRowWise");
     Matrix y(a.rows(), x.cols(), 0.0f);
-    // Row ranges are cut by cumulative nnz (the indptr array), not row
-    // count: on power-law graphs equal row counts give wildly unequal
-    // work while equal nnz shares stay balanced — the same imbalance
-    // the paper's accelerators rebalance in hardware. Each output row is
-    // written by exactly one range, so results are thread-count
-    // invariant.
-    parallelForWeighted(
-        a.indptr(),
-        [&](const Range &r, size_t) {
-            for (NodeId row = NodeId(r.begin); row < NodeId(r.end); ++row) {
-                float *yrow = y.row(row);
-                a.forEachInRow(row, [&](NodeId c, float v) {
-                    const float *xrow = x.row(c);
-                    for (int64_t j = 0; j < x.cols(); ++j)
-                        yrow[j] += v * xrow[j];
-                });
-            }
-        },
-        rowGrain(x.cols()));
+    spmmRows(a, x, RowSet(), y);
     return y;
 }
 
@@ -178,19 +227,63 @@ spmm(const CsrMatrix &a, const Matrix &x)
     return spmmRowWise(a, x);
 }
 
+void
+reluRows(const Matrix &x, const RowSet &rows, Matrix &y, RowAddr addr)
+{
+    GCOD_ASSERT(x.cols() == y.cols(), "relu shape mismatch");
+    forPositions(rows, x.rows(), x.cols(), [&](int64_t i) {
+        const float *in = x.row(rows.row(i, addr.in));
+        float *out = y.row(rows.row(i, addr.out));
+        for (int64_t j = 0; j < x.cols(); ++j)
+            out[j] = std::max(in[j], 0.0f);
+    });
+}
+
 Matrix
 relu(const Matrix &x)
 {
-    Matrix y = x;
-    float *d = y.data().data();
-    parallelFor(
-        0, y.size(),
-        [&](const Range &r, size_t) {
-            for (int64_t i = r.begin; i < r.end; ++i)
-                d[i] = std::max(d[i], 0.0f);
-        },
-        kMinParallelWork);
+    Matrix y(x.rows(), x.cols());
+    reluRows(x, RowSet(), y);
     return y;
+}
+
+void
+eluRows(const Matrix &x, const RowSet &rows, Matrix &y, RowAddr addr)
+{
+    GCOD_ASSERT(x.cols() == y.cols(), "elu shape mismatch");
+    forPositions(rows, x.rows(), 8 * x.cols(), [&](int64_t i) {
+        const float *in = x.row(rows.row(i, addr.in));
+        float *out = y.row(rows.row(i, addr.out));
+        for (int64_t j = 0; j < x.cols(); ++j)
+            out[j] = in[j] < 0.0f ? std::exp(in[j]) - 1.0f : in[j];
+    });
+}
+
+void
+addScaledRows(const Matrix &in, const Matrix &aux, float scale,
+              const RowSet &rows, Matrix &out, RowAddr addr)
+{
+    GCOD_ASSERT(in.cols() == aux.cols() && in.cols() == out.cols(),
+                "addScaled shape mismatch");
+    forPositions(rows, in.rows(), 2 * in.cols(), [&](int64_t i) {
+        const float *irow = in.row(rows.row(i, addr.in));
+        const float *arow = aux.row(rows.row(i, addr.aux));
+        float *orow = out.row(rows.row(i, addr.out));
+        for (int64_t j = 0; j < in.cols(); ++j)
+            orow[j] = arow[j] * scale;
+        for (int64_t j = 0; j < in.cols(); ++j)
+            orow[j] = irow[j] + orow[j];
+    });
+}
+
+void
+copyRows(const Matrix &x, const RowSet &rows, Matrix &y, RowAddr addr)
+{
+    GCOD_ASSERT(x.cols() == y.cols(), "copy shape mismatch");
+    forPositions(rows, x.rows(), x.cols(), [&](int64_t i) {
+        const float *in = x.row(rows.row(i, addr.in));
+        std::copy(in, in + x.cols(), y.row(rows.row(i, addr.out)));
+    });
 }
 
 Matrix
@@ -331,15 +424,26 @@ accuracy(const Matrix &logits, const std::vector<int> &labels,
     return counted ? double(correct) / double(counted) : 0.0;
 }
 
+void
+hconcatRows(const Matrix &a, const Matrix &b, const RowSet &rows, Matrix &out,
+            RowAddr addr)
+{
+    GCOD_ASSERT(out.cols() == a.cols() + b.cols(), "hconcat shape mismatch");
+    forPositions(rows, a.rows(), out.cols(), [&](int64_t i) {
+        const float *arow = a.row(rows.row(i, addr.aux));
+        const float *brow = b.row(rows.row(i, addr.in));
+        float *orow = out.row(rows.row(i, addr.out));
+        std::copy(arow, arow + a.cols(), orow);
+        std::copy(brow, brow + b.cols(), orow + a.cols());
+    });
+}
+
 Matrix
 hconcat(const Matrix &a, const Matrix &b)
 {
     GCOD_ASSERT(a.rows() == b.rows(), "hconcat row mismatch");
     Matrix c(a.rows(), a.cols() + b.cols());
-    for (int64_t r = 0; r < a.rows(); ++r) {
-        std::copy(a.row(r), a.row(r) + a.cols(), c.row(r));
-        std::copy(b.row(r), b.row(r) + b.cols(), c.row(r) + a.cols());
-    }
+    hconcatRows(a, b, RowSet(), c);
     return c;
 }
 

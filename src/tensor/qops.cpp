@@ -37,16 +37,16 @@ axpyRow(int64_t *acc, int32_t v, const QuantizedMatrix &m, int64_t r)
         axpyInt(acc, v, m.row16(r), m.cols());
 }
 
-/** One mixed SpMM output row into y.row(r); acc buffers are scratch. */
+/** One mixed SpMM output row r into @p yrow; acc buffers are scratch. */
 inline void
 qspmmMixedRow(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
               NodeId r, std::vector<int64_t> &acc_lo,
-              std::vector<int64_t> &acc_hi, Matrix &y)
+              std::vector<int64_t> &acc_hi, float *yrow)
 {
     const CsrMatrix &p = *a.pattern;
     const std::vector<uint8_t> &branch = *x.branchOf;
     const std::vector<int32_t> &local = *x.localIndex;
-    int64_t n = y.cols();
+    int64_t n = x.cols();
     std::fill(acc_lo.begin(), acc_lo.end(), 0);
     std::fill(acc_hi.begin(), acc_hi.end(), 0);
     for (EdgeOffset k = p.indptr()[size_t(r)];
@@ -64,34 +64,9 @@ qspmmMixedRow(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
     double sa = a.qp.scale;
     double slo = sa * double(x.lo.params().scale);
     double shi = sa * double(x.hi.params().scale);
-    float *yrow = y.row(r);
     for (int64_t j = 0; j < n; ++j)
         yrow[j] = float(slo * double(acc_lo[size_t(j)]) +
                         shi * double(acc_hi[size_t(j)]));
-}
-
-/** One mixed GEMM output row into z.row(r). */
-inline void
-qmatmulMixedRow(const MixedQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                const QuantizedMatrix &w_hi, NodeId r,
-                std::vector<int64_t> &acc, Matrix &z)
-{
-    bool prot = (*x.branchOf)[size_t(r)] != 0;
-    const QuantizedMatrix &xq = prot ? x.hi : x.lo;
-    const QuantizedMatrix &w = prot ? w_hi : w_lo;
-    int64_t idx = (*x.localIndex)[size_t(r)];
-    int64_t kdim = xq.cols(), n = w.cols();
-    std::fill(acc.begin(), acc.end(), 0);
-    for (int64_t k = 0; k < kdim; ++k) {
-        int32_t xv = xq.at(idx, k);
-        if (xv == 0)
-            continue;
-        axpyRow(acc.data(), xv, w, k);
-    }
-    double s = double(xq.params().scale) * double(w.params().scale);
-    float *zrow = z.row(r);
-    for (int64_t j = 0; j < n; ++j)
-        zrow[j] = float(s * double(acc[size_t(j)]));
 }
 
 /** One row-scaled GEMM output row into z.row(r). */
@@ -216,69 +191,40 @@ mixedQuantize(const Matrix &x, const std::vector<uint8_t> &branch_of,
     return m;
 }
 
+void
+qspmmMixedRows(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
+               const RowSet &rows, Matrix &y)
+{
+    const CsrMatrix &p = *a.pattern;
+    GCOD_ASSERT(int64_t(p.cols()) == x.rows() &&
+                    y.rows() == int64_t(p.rows()) && y.cols() == x.cols(),
+                "qspmmMixed shape mismatch");
+    ParallelZone zone("qspmmMixed");
+    RangeFn body = [&](const Range &range, size_t) {
+        std::vector<int64_t> acc_lo(size_t(x.cols()));
+        std::vector<int64_t> acc_hi(size_t(x.cols()));
+        for (int64_t i = range.begin; i < range.end; ++i) {
+            NodeId r = rows.node(i);
+            qspmmMixedRow(a, x, r, acc_lo, acc_hi, y.row(r));
+        }
+    };
+    // All rows: nnz-weighted ranges over the indptr; lists: by position
+    // at the mean row cost.
+    if (rows.all()) {
+        parallelForWeighted(p.indptr(), body, rowGrain(x.cols()));
+        return;
+    }
+    int64_t meanNnz = p.rows() > 0 ? int64_t(p.nnz()) / p.rows() : 0;
+    parallelFor(0, rows.size(0), body,
+                rowGrain(x.cols() * std::max<int64_t>(1, meanNnz)));
+}
+
 Matrix
 qspmmMixed(const QuantizedCsr &a, const MixedQuantizedMatrix &x)
 {
-    const CsrMatrix &p = *a.pattern;
-    GCOD_ASSERT(int64_t(p.cols()) == x.rows(), "qspmmMixed shape mismatch");
-    ParallelZone zone("qspmmMixed");
-    Matrix y(p.rows(), x.cols(), 0.0f);
-    parallelForWeighted(
-        p.indptr(),
-        [&](const Range &range, size_t) {
-            std::vector<int64_t> acc_lo(size_t(x.cols()));
-            std::vector<int64_t> acc_hi(size_t(x.cols()));
-            for (NodeId r = NodeId(range.begin); r < NodeId(range.end);
-                 ++r)
-                qspmmMixedRow(a, x, r, acc_lo, acc_hi, y);
-        },
-        rowGrain(x.cols()));
+    Matrix y(a.pattern->rows(), x.cols(), 0.0f);
+    qspmmMixedRows(a, x, RowSet(), y);
     return y;
-}
-
-void
-qspmmMixedRows(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
-               const std::vector<NodeId> &rows, Matrix &y)
-{
-    GCOD_ASSERT(y.rows() == int64_t(a.pattern->rows()) &&
-                    y.cols() == x.cols(),
-                "qspmmMixedRows output shape mismatch");
-    std::vector<int64_t> acc_lo(size_t(x.cols()));
-    std::vector<int64_t> acc_hi(size_t(x.cols()));
-    for (NodeId r : rows)
-        qspmmMixedRow(a, x, r, acc_lo, acc_hi, y);
-}
-
-Matrix
-qmatmulMixed(const MixedQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-             const QuantizedMatrix &w_hi)
-{
-    GCOD_ASSERT(x.cols() == w_lo.rows() && x.cols() == w_hi.rows() &&
-                    w_lo.cols() == w_hi.cols(),
-                "qmatmulMixed shape mismatch");
-    ParallelZone zone("qmatmulMixed");
-    Matrix z(x.rows(), w_lo.cols(), 0.0f);
-    parallelFor(
-        0, x.rows(),
-        [&](const Range &range, size_t) {
-            std::vector<int64_t> acc(size_t(w_lo.cols()));
-            for (int64_t r = range.begin; r < range.end; ++r)
-                qmatmulMixedRow(x, w_lo, w_hi, NodeId(r), acc, z);
-        },
-        rowGrain(x.cols() * w_lo.cols()));
-    return z;
-}
-
-void
-qmatmulMixedRows(const MixedQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                 const QuantizedMatrix &w_hi,
-                 const std::vector<NodeId> &rows, Matrix &z)
-{
-    GCOD_ASSERT(z.rows() == x.rows() && z.cols() == w_lo.cols(),
-                "qmatmulMixedRows output shape mismatch");
-    std::vector<int64_t> acc(size_t(w_lo.cols()));
-    for (NodeId r : rows)
-        qmatmulMixedRow(x, w_lo, w_hi, r, acc, z);
 }
 
 RowQuantizedMatrix
@@ -320,36 +266,33 @@ rowQuantize(const Matrix &x, const std::vector<uint8_t> &branch_of,
     return m;
 }
 
+void
+qmatmulRowScaledRows(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
+                     const QuantizedMatrix &w_hi, const RowSet &rows,
+                     Matrix &z)
+{
+    GCOD_ASSERT(x.cols == w_lo.rows() && x.cols == w_hi.rows() &&
+                    w_lo.cols() == w_hi.cols() && z.rows() == x.rows &&
+                    z.cols() == w_lo.cols(),
+                "qmatmulRowScaled shape mismatch");
+    ParallelZone zone("qmatmulRowScaled");
+    parallelFor(
+        0, rows.size(x.rows),
+        [&](const Range &range, size_t) {
+            std::vector<int64_t> acc(size_t(w_lo.cols()));
+            for (int64_t i = range.begin; i < range.end; ++i)
+                qmatmulRowScaledRow(x, w_lo, w_hi, rows.node(i), acc, z);
+        },
+        rowGrain(x.cols * w_lo.cols()));
+}
+
 Matrix
 qmatmulRowScaled(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
                  const QuantizedMatrix &w_hi)
 {
-    GCOD_ASSERT(x.cols == w_lo.rows() && x.cols == w_hi.rows() &&
-                    w_lo.cols() == w_hi.cols(),
-                "qmatmulRowScaled shape mismatch");
-    ParallelZone zone("qmatmulRowScaled");
     Matrix z(x.rows, w_lo.cols(), 0.0f);
-    parallelFor(
-        0, x.rows,
-        [&](const Range &range, size_t) {
-            std::vector<int64_t> acc(size_t(w_lo.cols()));
-            for (int64_t r = range.begin; r < range.end; ++r)
-                qmatmulRowScaledRow(x, w_lo, w_hi, NodeId(r), acc, z);
-        },
-        rowGrain(x.cols * w_lo.cols()));
+    qmatmulRowScaledRows(x, w_lo, w_hi, RowSet(), z);
     return z;
-}
-
-void
-qmatmulRowScaledRows(const RowQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                     const QuantizedMatrix &w_hi,
-                     const std::vector<NodeId> &rows, Matrix &z)
-{
-    GCOD_ASSERT(z.rows() == x.rows && z.cols() == w_lo.cols(),
-                "qmatmulRowScaledRows output shape mismatch");
-    std::vector<int64_t> acc(size_t(w_lo.cols()));
-    for (NodeId r : rows)
-        qmatmulRowScaledRow(x, w_lo, w_hi, r, acc, z);
 }
 
 } // namespace gcod

@@ -9,8 +9,8 @@
  * Determinism contract (matches sim/parallel): every kernel partitions
  * its OUTPUT rows, and integer accumulation is associative, so results
  * are bit-identical for any thread count — and, because each output row
- * depends only on its own exact integer sums, bit-identical when rows
- * are computed shard-by-shard and stitched (shard/executor).
+ * depends only on its own exact integer sums, bit-identical when any
+ * row sets (RowSet, tensor/ops.hpp) are computed and stitched.
  *
  * Mixed precision follows GCoD's dense/sparse split: activations are
  * row-partitioned into a low-bit branch (the polarized dense community
@@ -21,6 +21,7 @@
 #ifndef GCOD_TENSOR_QOPS_HPP
 #define GCOD_TENSOR_QOPS_HPP
 
+#include "tensor/ops.hpp"
 #include "tensor/quant.hpp"
 
 namespace gcod {
@@ -63,30 +64,18 @@ MixedQuantizedMatrix mixedQuantize(const Matrix &x,
                                    const std::vector<int32_t> &local_index,
                                    int lo_bits, int hi_bits);
 
-/** Y = deq(A) * deq(X) with two-branch X; integer per-branch sums. */
-Matrix qspmmMixed(const QuantizedCsr &a, const MixedQuantizedMatrix &x);
-
 /**
- * qspmmMixed restricted to the output rows in @p rows, written into the
- * matching rows of @p y (shape pattern.rows x x.cols). Serial — the
- * sharded executor calls it from inside a pool worker, one shard per
- * range. Row math is identical to qspmmMixed's, so stitching the row
- * sets of a partition reproduces the full kernel bit for bit.
+ * Rows of Y = deq(A) * deq(X) with two-branch X (integer per-branch
+ * sums), written into the node rows of @p y (pattern.rows x x.cols).
+ * All rows keep nnz-weighted partitioning; the row math is the same for
+ * any set, so stitching the row sets of a partition reproduces the
+ * all-rows call bit for bit.
  */
 void qspmmMixedRows(const QuantizedCsr &a, const MixedQuantizedMatrix &x,
-                    const std::vector<NodeId> &rows, Matrix &y);
+                    const RowSet &rows, Matrix &y);
 
-/**
- * Z = deq(X) * deq(W) where row r of X uses the branch-matching weight
- * pack: W_lo for dense-branch rows, W_hi for protected rows.
- */
-Matrix qmatmulMixed(const MixedQuantizedMatrix &x, const QuantizedMatrix &w_lo,
-                    const QuantizedMatrix &w_hi);
-
-/** qmatmulMixed restricted to @p rows, written into @p z (serial). */
-void qmatmulMixedRows(const MixedQuantizedMatrix &x,
-                      const QuantizedMatrix &w_lo, const QuantizedMatrix &w_hi,
-                      const std::vector<NodeId> &rows, Matrix &z);
+/** qspmmMixedRows over all rows into a fresh matrix. */
+Matrix qspmmMixed(const QuantizedCsr &a, const MixedQuantizedMatrix &x);
 
 /**
  * Per-row quantized GEMM input: row r is coded at the branch-matching
@@ -124,18 +113,19 @@ RowQuantizedMatrix rowQuantize(const Matrix &x,
                                int lo_bits, int hi_bits);
 
 /**
- * Z = deq(X) * deq(W) with per-row X scales; row r uses the
- * branch-matching weight pack (W_lo dense, W_hi protected).
+ * Rows of Z = deq(X) * deq(W) with per-row X scales, written into the
+ * node rows of @p z; row r uses the branch-matching weight pack (W_lo
+ * dense, W_hi protected).
  */
+void qmatmulRowScaledRows(const RowQuantizedMatrix &x,
+                          const QuantizedMatrix &w_lo,
+                          const QuantizedMatrix &w_hi, const RowSet &rows,
+                          Matrix &z);
+
+/** qmatmulRowScaledRows over all rows into a fresh matrix. */
 Matrix qmatmulRowScaled(const RowQuantizedMatrix &x,
                         const QuantizedMatrix &w_lo,
                         const QuantizedMatrix &w_hi);
-
-/** qmatmulRowScaled restricted to @p rows, written into @p z (serial). */
-void qmatmulRowScaledRows(const RowQuantizedMatrix &x,
-                          const QuantizedMatrix &w_lo,
-                          const QuantizedMatrix &w_hi,
-                          const std::vector<NodeId> &rows, Matrix &z);
 
 } // namespace gcod
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "graph/generate.hpp"
 #include "nn/quant_exec.hpp"
@@ -54,6 +55,27 @@ bitIdentical(const Matrix &a, const Matrix &b)
     return a.sameShape(b) &&
            std::memcmp(a.data().data(), b.data().data(),
                        a.data().size() * sizeof(float)) == 0;
+}
+
+/** About a third of [0, n), in random (unsorted) order. */
+std::vector<NodeId>
+randomRows(NodeId n, Rng &rng)
+{
+    std::vector<NodeId> ids(static_cast<size_t>(n));
+    std::iota(ids.begin(), ids.end(), 0);
+    for (size_t i = ids.size() - 1; i > 0; --i)
+        std::swap(ids[i], ids[size_t(rng.uniformInt(0, int64_t(i)))]);
+    ids.resize(ids.size() / 3);
+    return ids;
+}
+
+/** Row @p ra of @p a equals row @p rb of @p b byte for byte. */
+bool
+rowsEqual(const Matrix &a, int64_t ra, const Matrix &b, int64_t rb)
+{
+    return a.cols() == b.cols() &&
+           std::memcmp(a.row(ra), b.row(rb),
+                       size_t(a.cols()) * sizeof(float)) == 0;
 }
 
 /** A small GCN + context + pack over a power-law graph. */
@@ -189,6 +211,56 @@ TEST(QuantKernelsTest, RowScaledGemmIsExactPerRowAndStitchesBitIdentically)
               0);
 }
 
+// Row-subset entry points of the integer kernels and the fp32 attention
+// and Max aggregations: an unsorted row list into stale output rows
+// reproduces the all-rows call bit for bit.
+TEST(QuantKernelsTest, RowListsMatchAllRowsCallsBitwise)
+{
+    QuantFixture f(300, 24, 17);
+    Rng rng(23);
+    const NodeId n = f.graph.numNodes();
+    std::vector<NodeId> ids = randomRows(n, rng);
+    QuantizedGnn q = quantizeGnn(f.recipe, f.graph.degrees());
+    auto expectRows = [&](const Matrix &want, const Matrix &got,
+                          bool by_position, const char *what) {
+        for (size_t i = 0; i < ids.size(); ++i)
+            EXPECT_TRUE(rowsEqual(want, ids[i], got,
+                                  by_position ? int64_t(i) : ids[i]))
+                << what << " row " << ids[i];
+    };
+
+    MixedQuantizedMatrix mx = mixedQuantize(f.x, q.branchOf, q.localIndex,
+                                            8, 16);
+    Matrix spAll = qspmmMixed(q.qops[0], mx);
+    Matrix spList(n, f.x.cols(), 7.0f);
+    qspmmMixedRows(q.qops[0], mx, ids, spList);
+    expectRows(spAll, spList, false, "qspmmMixed");
+
+    Matrix w = randomDense(f.x.cols(), 20, rng);
+    QuantizedMatrix wLo(w, 8), wHi(w, 16);
+    RowQuantizedMatrix rx = rowQuantize(f.x, q.branchOf, 8, 16);
+    Matrix mmAll = qmatmulRowScaled(rx, wLo, wHi);
+    Matrix mmList(n, 20, 7.0f);
+    qmatmulRowScaledRows(rx, wLo, wHi, ids, mmList);
+    expectRows(mmAll, mmList, false, "qmatmulRowScaled");
+
+    const CsrMatrix &adj = f.ctx.binary();
+    Matrix aSrc = randomDense(2, 12, rng), aDst = randomDense(2, 12, rng);
+    Matrix atAll(n, 24), mxAll(n, 24);
+    attentionRows(adj, f.x, aSrc, aDst, 2, 12, true, RowSet(), atAll);
+    maxAggRows(adj, f.x, RowSet(), mxAll);
+    for (bool local : {false, true}) {
+        RowAddr addr;
+        addr.out = local;
+        int64_t rows = local ? int64_t(ids.size()) : int64_t(n);
+        Matrix at(rows, 24, 7.0f), mxl(rows, 24, 7.0f);
+        attentionRows(adj, f.x, aSrc, aDst, 2, 12, true, ids, at, addr);
+        maxAggRows(adj, f.x, ids, mxl, addr);
+        expectRows(atAll, at, local, "attention");
+        expectRows(mxAll, mxl, local, "max");
+    }
+}
+
 // --------------------------------------------------- mixed-precision GNN
 TEST(QuantExecTest, BranchSplitFollowsDegreeProtectionRule)
 {
@@ -305,6 +377,100 @@ TEST_P(ZooParity, RecipeMatchesModelForwardAtThreads1To8)
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, ZooParity,
+                         ::testing::Values("GCN", "GraphSAGE", "GAT",
+                                           "GIN", "ResGCN"));
+
+// The interpreter over any choice of rows reproduces the all-rows pass
+// on the rows it covers, byte for byte: a random unsorted subset per
+// layer (fp32 stages its intermediates by position, as the incremental
+// path does; node-addressed slots start with the covered rows poisoned)
+// and a 3-way partition run as parallel parts, at fp32 and int8, at 1
+// and 4 threads.
+class RowSetParity : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(RowSetParity, SubsetsAndPartitionsMatchAllRows)
+{
+    const std::string family = GetParam();
+    Rng grng(37);
+    Graph g = barabasiAlbert(300, 4, grng);
+    GraphContext ctx(g);
+    Rng rng(41);
+    auto model = makeModel(family, 16, 6, false, rng);
+    Matrix x = randomDense(g.numNodes(), 16, rng);
+    ForwardRecipe recipe = forwardRecipeFor(*model, ctx);
+    QuantizedGnn pack = quantizeGnn(recipe, g.degrees());
+    const size_t L = recipe.layers.size();
+
+    std::vector<NodeId> subset = randomRows(g.numNodes(), rng);
+    std::vector<NodeId> order = randomRows(g.numNodes(), rng);
+    std::vector<char> seen(size_t(g.numNodes()), 0);
+    for (NodeId v : order)
+        seen[size_t(v)] = 1;
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        if (!seen[size_t(v)])
+            order.push_back(v);
+    std::vector<std::vector<NodeId>> thirds(3);
+    for (size_t i = 0; i < order.size(); ++i)
+        thirds[i % 3].push_back(order[i]);
+    std::vector<RowSet> partition(thirds.begin(), thirds.end());
+
+    int before = currentThreads();
+    for (int threads : {1, 4}) {
+        setThreads(threads);
+        for (const QuantizedGnn *q : {(const QuantizedGnn *)nullptr,
+                                      (const QuantizedGnn *)&pack}) {
+            const std::string what = family + (q ? " int8" : " fp32") +
+                                     " threads " + std::to_string(threads);
+            std::vector<LayerSlots> full(L);
+            for (size_t l = 0; l < L; ++l) {
+                full[l].input =
+                    l == 0 ? &x
+                           : &full[l - 1].mats[size_t(
+                                 recipe.layers[l - 1].ops.back().out)];
+                executeLayer(recipe, q, l, {RowSet()}, full[l]);
+            }
+            const Matrix &logits =
+                full.back().mats[size_t(recipe.layers.back().ops.back().out)];
+            EXPECT_TRUE(
+                bitIdentical(logits, executeForward(recipe, q, x, partition)))
+                << what << ": 3-way partition";
+
+            for (size_t l = 0; l < L; ++l) {
+                const LayerGraph &lg = recipe.layers[l];
+                const int aggIn = lg.ops[size_t(lg.aggOp())].in;
+                const int fin = lg.ops.back().out;
+                LayerSlots part;
+                part.input = full[l].input;
+                part.mats.resize(size_t(lg.numSlots));
+                part.local.assign(size_t(lg.numSlots), 0);
+                for (int sl = 1; sl < lg.numSlots; ++sl) {
+                    if (q == nullptr && sl != aggIn && sl != fin) {
+                        part.local[size_t(sl)] = 1;
+                        continue;
+                    }
+                    Matrix m = full[l].mats[size_t(sl)];
+                    for (NodeId r : subset)
+                        std::fill(m.row(r), m.row(r) + m.cols(), 7.0f);
+                    part.mats[size_t(sl)] = std::move(m);
+                }
+                executeLayer(recipe, q, l, {RowSet(subset)}, part);
+                for (int sl = 1; sl < lg.numSlots; ++sl)
+                    for (size_t i = 0; i < subset.size(); ++i)
+                        ASSERT_TRUE(rowsEqual(
+                            full[l].mats[size_t(sl)], subset[i],
+                            part.mats[size_t(sl)],
+                            part.local[size_t(sl)] ? int64_t(i)
+                                                   : int64_t(subset[i])))
+                            << what << ": layer " << l << " slot " << sl
+                            << " row " << subset[i];
+            }
+        }
+    }
+    setThreads(before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, RowSetParity,
                          ::testing::Values("GCN", "GraphSAGE", "GAT",
                                            "GIN", "ResGCN"));
 

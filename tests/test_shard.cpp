@@ -153,11 +153,9 @@ TEST(ShardOperators, SlicesPreserveRowOrderAndValues)
     ShardPlanOptions opts;
     opts.shards = 3;
     ShardPlan plan = buildShardPlan(g, opts);
-    std::vector<CsrMatrix> locals =
-        extractShardOperators(plan, ctx.normalized());
-
     for (const Shard &sh : plan.shards) {
-        const CsrMatrix &loc = locals[size_t(sh.id)];
+        CsrMatrix loc =
+            extractLocalOperator(ctx.normalized(), sh, plan.numNodes);
         ASSERT_EQ(loc.rows(), sh.ownedCount());
         ASSERT_EQ(loc.cols(), sh.localCount());
         for (NodeId i = 0; i < sh.ownedCount(); ++i) {

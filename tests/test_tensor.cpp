@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "graph/sparse.hpp"
 #include "sim/rng.hpp"
@@ -44,6 +47,38 @@ denseOf(const CsrMatrix &m)
     Matrix d(m.rows(), m.cols(), 0.0f);
     m.forEach([&](NodeId r, NodeId c, float v) { d(r, c) += v; });
     return d;
+}
+
+/** About a third of [0, n), in random (unsorted) order. */
+std::vector<NodeId>
+randomRows(NodeId n, Rng &rng)
+{
+    std::vector<NodeId> ids(static_cast<size_t>(n));
+    std::iota(ids.begin(), ids.end(), 0);
+    for (size_t i = ids.size() - 1; i > 0; --i)
+        std::swap(ids[i], ids[size_t(rng.uniformInt(0, int64_t(i)))]);
+    ids.resize(ids.size() / 3);
+    return ids;
+}
+
+/**
+ * Row i of @p got — row ids[i] when node-addressed, row i when
+ * position-addressed — equals row ids[i] of @p want byte for byte.
+ */
+void
+expectRowsMatch(const Matrix &want, const Matrix &got,
+                const std::vector<NodeId> &ids, bool by_position,
+                const char *what)
+{
+    ASSERT_EQ(want.cols(), got.cols()) << what;
+    for (size_t i = 0; i < ids.size(); ++i) {
+        int64_t row = by_position ? int64_t(i) : int64_t(ids[i]);
+        EXPECT_EQ(std::memcmp(want.row(ids[i]), got.row(row),
+                              size_t(want.cols()) * sizeof(float)),
+                  0)
+            << what << " row " << ids[i]
+            << (by_position ? " (position-addressed)" : "");
+    }
 }
 
 } // namespace
@@ -159,6 +194,88 @@ TEST(Spmm, EmptyMatrixGivesZeros)
     Matrix x(4, 3, 1.0f);
     Matrix y = spmm(a, x);
     EXPECT_DOUBLE_EQ(y.frobeniusNorm(), 0.0);
+}
+
+// ----------------------------------------------------- row-subset kernels
+// Every row-subset entry point, over an unsorted row list, reproduces
+// the rows of its whole-matrix (all-rows) call bit for bit: into
+// node-addressed output holding stale values (a list call must overwrite
+// its rows), into position-addressed output, and from
+// position-addressed inputs.
+TEST(RowSubsetKernels, ListsMatchWholeMatrixCallsBitwise)
+{
+    Rng rng(19);
+    const NodeId n = 90;
+    CsrMatrix a = randomSparse(n, n, 600, rng);
+    Matrix x = randomDense(n, 40, rng);
+    Matrix aux = randomDense(n, 40, rng);
+    // Wider than one column tile, so the tiled matmul path is covered.
+    Matrix w = randomDense(40, 200, rng);
+    std::vector<NodeId> ids = randomRows(n, rng);
+
+    Matrix mm = matmul(x, w);
+    Matrix sp = spmmRowWise(a, x);
+    Matrix re = relu(x);
+    Matrix hc = hconcat(aux, x);
+    Matrix el(n, 40), as(n, 40), cp(n, 40);
+    eluRows(x, RowSet(), el);
+    addScaledRows(x, aux, 1.5f, RowSet(), as);
+    copyRows(x, RowSet(), cp);
+    EXPECT_FLOAT_EQ(as(3, 4), x(3, 4) + aux(3, 4) * 1.5f);
+    EXPECT_FLOAT_EQ(el(5, 6),
+                    x(5, 6) < 0.0f ? std::exp(x(5, 6)) - 1.0f : x(5, 6));
+    EXPECT_EQ(cp.data(), x.data());
+
+    const int64_t m = int64_t(ids.size());
+    for (bool local : {false, true}) {
+        RowAddr addr;
+        addr.out = local;
+        auto stale = [&](int64_t cols) {
+            return Matrix(local ? m : n, cols, 7.0f);
+        };
+        Matrix o = stale(200);
+        matmulRows(x, w, ids, o, addr);
+        expectRowsMatch(mm, o, ids, local, "matmul");
+        o = stale(40);
+        spmmRows(a, x, ids, o, addr);
+        expectRowsMatch(sp, o, ids, local, "spmm");
+        o = stale(40);
+        reluRows(x, ids, o, addr);
+        expectRowsMatch(re, o, ids, local, "relu");
+        o = stale(40);
+        eluRows(x, ids, o, addr);
+        expectRowsMatch(el, o, ids, local, "elu");
+        o = stale(40);
+        addScaledRows(x, aux, 1.5f, ids, o, addr);
+        expectRowsMatch(as, o, ids, local, "addScaled");
+        o = stale(80);
+        hconcatRows(aux, x, ids, o, addr);
+        expectRowsMatch(hc, o, ids, local, "hconcat");
+        o = stale(40);
+        copyRows(x, ids, o, addr);
+        expectRowsMatch(cp, o, ids, local, "copy");
+    }
+
+    // Position-addressed inputs (staged rows of x and aux).
+    Matrix xs(m, 40), auxs(m, 40);
+    for (int64_t i = 0; i < m; ++i) {
+        std::copy(x.row(ids[size_t(i)]), x.row(ids[size_t(i)]) + 40,
+                  xs.row(i));
+        std::copy(aux.row(ids[size_t(i)]), aux.row(ids[size_t(i)]) + 40,
+                  auxs.row(i));
+    }
+    RowAddr staged;
+    staged.in = true;
+    staged.aux = true;
+    Matrix o(n, 200, 7.0f);
+    matmulRows(xs, w, ids, o, staged);
+    expectRowsMatch(mm, o, ids, false, "matmul (staged input)");
+    o = Matrix(n, 40, 7.0f);
+    addScaledRows(xs, auxs, 1.5f, ids, o, staged);
+    expectRowsMatch(as, o, ids, false, "addScaled (staged inputs)");
+    o = Matrix(n, 80, 7.0f);
+    hconcatRows(auxs, xs, ids, o, staged);
+    expectRowsMatch(hc, o, ids, false, "hconcat (staged inputs)");
 }
 
 // ------------------------------------------------------------ activations
